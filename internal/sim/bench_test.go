@@ -43,3 +43,22 @@ func BenchmarkStepSoleWatchdog(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkShortRun measures a whole strategy-driven Run of three procs
+// that each take a few steps — the shape of a model checker's replays,
+// where setting up and tearing down the procs costs as much as
+// scheduling them.
+func BenchmarkShortRun(b *testing.B) {
+	next := 0
+	roundRobin := pickFunc(func(cs []Choice) Decision {
+		next++
+		return Decision{Index: next % len(cs), Steps: 1}
+	})
+	for i := 0; i < b.N; i++ {
+		Run(Config{Strategy: roundRobin}, 3, func(p *Proc) {
+			for j := 0; j < 4; j++ {
+				p.Step(1)
+			}
+		})
+	}
+}

@@ -1,31 +1,40 @@
+//go:build go1.23
+
 // Package sim provides a deterministic, cycle-approximate simulator of a
 // small multicore machine.
 //
-// Simulated hardware threads ("procs") run as goroutines, but execution is
-// serialized through a scheduler token: at any instant exactly one proc is
-// running, and the token always passes to the proc with the smallest
-// virtual clock. Each simulated memory access advances the issuing proc's
-// clock by the access cost, so virtual time behaves like parallel wall time
-// on a real machine, while the host needs only a single CPU and every run is
-// reproducible from a seed.
+// Simulated hardware threads ("procs") run as coroutines (iter.Pull), and
+// execution is serialized through a scheduler token: at any instant exactly
+// one proc is running, and the token always passes to the proc with the
+// smallest virtual clock. Each simulated memory access advances the issuing
+// proc's clock by the access cost, so virtual time behaves like parallel
+// wall time on a real machine, while the host needs only a single CPU and
+// every run is reproducible from a seed.
 //
-// Scheduling is direct handoff: there is no scheduler goroutine. The proc
-// that exhausts its grant runs the scheduling decision inline — one fused
-// min/runner-up clock scan, one RNG draw — and wakes the next proc itself,
-// so a yield costs a single goroutine switch instead of the two that a
-// round-trip through a central scheduler would. A sole remaining proc
-// re-grants itself with no synchronization at all. See DESIGN.md for why
-// this preserves byte-identical schedules with the central-scheduler
-// formulation it replaced.
+// The proc that exhausts its grant runs the scheduling decision inline —
+// one fused min/runner-up clock scan, one RNG draw — and parks, leaving
+// the chosen proc to a small dispatch loop in Run, which resumes it. A
+// yield is a pair of coroutine switches (yielder to dispatch loop, dispatch
+// loop to chosen proc) that bypass the Go scheduler entirely; a sole
+// remaining proc re-grants itself with no switch at all. See DESIGN.md for
+// why this preserves byte-identical schedules with the earlier
+// goroutine-and-channel formulations.
 //
 // Upper layers (the TSX engine in internal/tsx) perform all shared-state
 // manipulation between a grant and the following yield, so they need no
 // Go-level synchronization of their own.
+//
+// The go1.23 build line raises this file's language version to the one
+// iter.Pull needs, standing in for a go.mod bump: the nested benchmark
+// module requires this one, says go 1.22 and builds with -mod=readonly,
+// so a go 1.23 line here would make its build demand a go.mod update.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 )
 
@@ -108,8 +117,10 @@ type Decision struct {
 
 // Strategy decides scheduler grants in place of the default policy. Pick is
 // called with the runnable procs (ascending ProcID; always at least one)
-// each time a grant is needed, and runs on whichever goroutine holds the
-// scheduler token — implementations need no locking but must not block.
+// each time a grant is needed, and runs on whichever proc's coroutine (or
+// Run itself, for the first grant) holds the scheduler token —
+// implementations need no locking but must not block. A panic in Pick
+// ends the run: it comes out of Run like a panic in a body.
 type Strategy interface {
 	Pick(choices []Choice) Decision
 }
@@ -128,10 +139,11 @@ type Proc struct {
 	target  uint64
 	steps   int // remaining cost>0 steps of a step-counted grant (0: clock-targeted)
 	sched   *sched
-	grant   chan grantMsg
+	pending grantMsg // the grant the token arrives with, set by its giver
 	rngSeed int64
 	rng     *rand.Rand // lazily built from rngSeed on first Rand()
 	stopped bool
+	w       *worker // the coroutine running this proc's body; nil once it ended
 }
 
 // grantMsg is what a proc receives when the token is handed to it: a new
@@ -149,6 +161,11 @@ type grantMsg struct {
 // not their own sentinel, so the signal always reaches the proc wrapper.
 type stopSignal struct{}
 
+// abandonSignal unwinds a parked proc whose Run is leaving abnormally (a
+// panic elsewhere ended the run): the proc's body stops at the yield it
+// was parked in, and its wrapper returns without touching the scheduler.
+type abandonSignal struct{}
+
 // grantHook, when non-nil, observes every scheduler grant in issue order:
 // the granted proc, its new clock target, and whether the grant is a stop
 // order. It exists for the schedule-hash regression tests, which fingerprint
@@ -165,9 +182,12 @@ var grantCount atomic.Uint64
 func Grants() uint64 { return grantCount.Load() }
 
 // sched is the shared scheduling state of one Run. It has no lock: only
-// the proc holding the token (or Run itself, before the first grant and
-// after the last proc finishes) touches it, and the token's channel
-// handoffs order those accesses.
+// the proc holding the token (or Run's dispatch loop, between two procs)
+// touches it. Each proc runs on its own coroutine (a pooled worker), but a
+// coroutine switch is a synchronous handoff — the switching side stops
+// before the resumed side starts, and iter.Pull annotates every switch as
+// a release/acquire pair — so the accesses are ordered (happens-before)
+// for the memory model and the race detector alike.
 type sched struct {
 	quantum  uint64
 	grantFn  func(procID int, clock, slice uint64) uint64
@@ -177,11 +197,13 @@ type sched struct {
 	choices  []Choice // reused presentation buffer (strategy mode only)
 	rngSeed  int64
 	rng      *rand.Rand // lazily built from rngSeed on first default-policy pick
+	body     func(*Proc)
 	running  []*Proc
 	stopping bool
 	grants   uint64
-	panics   []any
-	done     chan struct{}
+	next     *Proc // the proc the token passes to when the running one parks
+	panicked *Proc // the proc whose panic ended the run, if any
+	panicVal any
 }
 
 // pick runs one scheduling decision: select the minimum-clock proc (ties
@@ -319,10 +341,10 @@ func (s *sched) pickStrategy() (*Proc, grantMsg) {
 	return p, msg
 }
 
-// finish removes p from the run queue and passes the token onward — to the
-// next minimum-clock proc, or to Run's caller when p was the last runner.
-// It runs on p's goroutine while p still holds the token.
-func (s *sched) finish(p *Proc) {
+// finish removes p from the run queue and returns the proc the token
+// passes to, its grant already pending — or nil when p was the last
+// runner. It runs on p's coroutine while p still holds the token.
+func (s *sched) finish(p *Proc) *Proc {
 	running := s.running
 	for i, q := range running {
 		if q == p {
@@ -332,11 +354,11 @@ func (s *sched) finish(p *Proc) {
 		}
 	}
 	if len(s.running) == 0 {
-		s.done <- struct{}{}
-		return
+		return nil
 	}
 	next, msg := s.pick()
-	next.grant <- msg
+	next.pending = msg
+	return next
 }
 
 // Clock returns the proc's current virtual time in cycles.
@@ -378,29 +400,27 @@ func (p *Proc) Step(cost uint64) {
 }
 
 // yieldToken runs the scheduling decision inline on the yielding proc and
-// hands the token to the chosen runner, blocking until the token comes
-// back. When the yielder itself is still the minimum-clock proc (a sole
-// runner under an armed watchdog, mainly), it keeps the token with no
-// synchronization at all.
+// parks the proc, leaving the chosen runner for Run's dispatch loop; it
+// returns when the loop resumes this proc with a new grant. When the
+// yielder itself is still the minimum-clock proc (a sole runner under an
+// armed watchdog, mainly), it keeps the token with no switch at all.
 func (p *Proc) yieldToken() {
-	next, msg := p.sched.pick()
-	if next == p {
-		if msg.stop {
-			p.stopped = true
-			panic(stopSignal{})
+	s := p.sched
+	next, msg := s.pick()
+	next.pending = msg
+	if next != p {
+		s.next = next
+		if !p.w.yield(struct{}{}) {
+			panic(abandonSignal{})
 		}
-		p.target = msg.target
-		p.steps = msg.steps
-		return
 	}
-	next.grant <- msg
-	p.recvGrant()
+	p.accept()
 }
 
-// recvGrant blocks for the next grant, installing its target or step
-// budget, and unwinding the proc on a stop order.
-func (p *Proc) recvGrant() {
-	g := <-p.grant
+// accept installs the pending grant's target or step budget, unwinding the
+// proc on a stop order.
+func (p *Proc) accept() {
+	g := p.pending
 	if g.stop {
 		p.stopped = true
 		panic(stopSignal{})
@@ -413,7 +433,15 @@ func (p *Proc) recvGrant() {
 // have returned. The token always passes to the minimum-clock proc (ties
 // broken by lowest ID), granted a quantum beyond the runner-up clock.
 //
-// A panic in a body is re-raised on the caller's goroutine.
+// A panic in a body, or in a scheduling decision (a Strategy, Watchdog,
+// Grant or OnGrant hook), ends the run at once: procs still parked unwind
+// without running more of their bodies, and the first panic is re-raised
+// on the caller's goroutine.
+//
+// Bodies run on coroutines pooled across Run calls, so one goroutine may
+// resume a coroutine another created. The runtime forbids that when
+// either is locked to its OS thread, so Run must not be called from a
+// goroutine locked with runtime.LockOSThread.
 func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: Run with n = %d", n))
@@ -430,79 +458,143 @@ func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 		watchdog: cfg.Watchdog,
 		strategy: cfg.Strategy,
 		rngSeed:  cfg.Seed*2_654_435_761 + 97,
-		panics:   make([]any, n),
-		done:     make(chan struct{}, 1),
+		body:     body,
 	}
 	if s.strategy != nil {
 		s.choices = make([]Choice, 0, n)
 	}
+	ws := takeWorkers(n)
+	defer releaseWorkers(ws)
 	procs := make([]*Proc, n)
-	for i := range procs {
+	for i, w := range ws {
 		procs[i] = &Proc{
-			ID:    i,
-			sched: s,
-			// Buffered: the sender is always the sole token holder and
-			// the receiver consumes exactly one message per wake, so a
-			// one-slot buffer lets the handoff complete without waiting
-			// for the receiver to reach its receive.
-			grant:   make(chan grantMsg, 1),
+			ID:      i,
+			sched:   s,
 			rngSeed: cfg.Seed*1_000_003 + int64(i)*7919 + 1,
+			w:       w,
 		}
+		w.p = procs[i]
 	}
 	s.running = make([]*Proc, n)
 	copy(s.running, procs)
-	for i, p := range procs {
-		go func(i int, p *Proc) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isStop := r.(stopSignal); !isStop {
-						s.panics[i] = r
-					}
-				}
-				s.finish(p)
-			}()
-			growProcStack()
-			p.recvGrant()
-			body(p)
-		}(i, p)
+
+	// The dispatch loop: the first scheduling decision runs here, every
+	// later one inline on the proc holding the token, which leaves its
+	// choice in s.next and parks (or, finishing, leaves its successor
+	// there). A nil proc means the last runner finished or a panic ended
+	// the run.
+	p, msg := s.pick()
+	p.pending = msg
+	for p != nil {
+		p.w.resume()
+		p, s.next = s.next, nil
 	}
 
-	// The first scheduling decision runs here; every subsequent one runs
-	// inline on whichever proc holds the token, and the last finishing
-	// proc hands the token back by signalling done.
-	next, msg := s.pick()
-	next.grant <- msg
-	<-s.done
-
 	grantCount.Add(s.grants)
-	for i, r := range s.panics {
-		if r != nil {
-			panic(fmt.Sprintf("sim: proc %d panicked: %v", i, r))
-		}
+	if s.panicked != nil {
+		panic(fmt.Sprintf("sim: proc %d panicked: %v", s.panicked.ID, s.panicVal))
 	}
 	return procs
 }
 
-// stackPadIdx and stackPadSink keep growProcStack's pad array opaque to the
-// compiler: an unknown index forces the array to materialize on the stack
-// (a constant index or an all-zero read could be folded away, and taking
-// the array's address would move it to the heap, defeating the point).
-// The sink is atomic because every proc goroutine writes it at startup.
-var (
-	stackPadIdx  int
-	stackPadSink atomic.Uint32
-)
+// A worker is a coroutine that runs proc bodies, one per Run it is lent
+// to, parking idle in between. Pooling them keeps coroutine creation off
+// the path of short Runs, and it bounds a runtime cost that would
+// otherwise grow without limit: under the race detector, a coroutine's
+// detector state is never freed when it exits (about 5 KB each), which
+// exhausts memory over the millions of Runs a model-checking sweep makes.
+type worker struct {
+	resume func() (struct{}, bool) // runs the coroutine until it parks
+	stop   func()                  // unwinds a parked coroutine and ends it
+	yield  func(struct{}) bool     // parks the coroutine, back to Run
+	p      *Proc                   // the proc whose body runs next
+	idle   bool                    // parked between bodies or never started
+}
 
-// growProcStack forces the calling goroutine's stack to grow to the procs'
-// steady-state depth while the stack is still nearly empty. Workload bodies
-// run deep (scheme -> engine -> memory -> scheduler), and growing the stack
-// mid-run copies every live frame — under short replay-style Runs that
-// copying dominates the profile. One oversized frame at the top of the
-// goroutine moves the growth to the cheapest possible moment.
-//
-//go:noinline
-func growProcStack() {
-	var pad [4 << 10]byte
-	pad[stackPadIdx] = 1
-	stackPadSink.Store(uint32(pad[stackPadIdx>>1]))
+func newWorker() *worker {
+	w := &worker{idle: true}
+	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			w.idle = false
+			if !w.run() {
+				return
+			}
+			w.idle = true
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return w
+}
+
+// run executes the lent proc's body, then leaves the proc the token
+// passes to in s.next: the finishing proc's successor, or nil when the
+// run is over. It reports false when the body was abandoned, which ends
+// the worker.
+func (w *worker) run() (reusable bool) {
+	p := w.p
+	s := p.sched
+	defer func() {
+		p.w = nil
+		switch r := recover(); r.(type) {
+		case nil, stopSignal:
+			s.next = s.finish(p)
+		case abandonSignal:
+			return // Run is unwinding: leave the scheduler alone.
+		default:
+			s.panicked, s.panicVal = p, r
+		}
+		reusable = true
+	}()
+	p.accept()
+	s.body(p)
+	return
+}
+
+// idleWorkers holds parked workers between Runs, shared by every host
+// goroutine that calls Run. Workers beyond maxIdleWorkers are ended
+// rather than kept.
+var idleWorkers struct {
+	sync.Mutex
+	free []*worker
+}
+
+const maxIdleWorkers = 256
+
+// takeWorkers lends n workers to a Run, creating any the pool lacks.
+func takeWorkers(n int) []*worker {
+	ws := make([]*worker, n)
+	idleWorkers.Lock()
+	free := idleWorkers.free
+	k := min(n, len(free))
+	copy(ws, free[len(free)-k:])
+	clear(free[len(free)-k:])
+	idleWorkers.free = free[:len(free)-k]
+	idleWorkers.Unlock()
+	for i := k; i < n; i++ {
+		ws[i] = newWorker()
+	}
+	return ws
+}
+
+// releaseWorkers returns a Run's idle workers to the pool and stops the
+// rest: a worker still parked mid-body (the run ended in a panic) unwinds
+// its body; one whose coroutine already ended stops as a no-op.
+func releaseWorkers(ws []*worker) {
+	idleWorkers.Lock()
+	for i, w := range ws {
+		w.p = nil // an idle worker must not keep the finished Run alive
+		if w.idle && len(idleWorkers.free) < maxIdleWorkers {
+			idleWorkers.free = append(idleWorkers.free, w)
+			ws[i] = nil
+		}
+	}
+	idleWorkers.Unlock()
+	for _, w := range ws {
+		if w != nil {
+			w.stop()
+		}
+	}
 }

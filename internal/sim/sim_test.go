@@ -276,9 +276,9 @@ func TestWatchdogStopsLivelockedRun(t *testing.T) {
 }
 
 // TestWatchdogStopSparesFinishedProcs: a proc whose body already returned
-// is not marked stopped.
+// is not marked stopped, and Run returns normally with no proc left behind.
 func TestWatchdogStopSparesFinishedProcs(t *testing.T) {
-	procs := Run(Config{Seed: 3, Watchdog: func(minClock uint64) bool {
+	procs, r := recoverRun(t, Config{Seed: 3, Watchdog: func(minClock uint64) bool {
 		return minClock > 1_000
 	}}, 2, func(p *Proc) {
 		if p.ID == 0 {
@@ -289,6 +289,9 @@ func TestWatchdogStopSparesFinishedProcs(t *testing.T) {
 			p.Step(5)
 		}
 	})
+	if r != nil {
+		t.Fatalf("Run panicked: %v", r)
+	}
 	if procs[0].Stopped() {
 		t.Error("finished proc 0 marked stopped")
 	}

@@ -196,6 +196,74 @@ var goldenMachines = []struct {
 			return uint64(h)
 		},
 	},
+	{
+		// Lazy lock subscription on the RTM path: the lock predicate is
+		// checked by the commit pipeline, whose commit cost is charged
+		// mid-commit — the one engine path that yields the scheduler
+		// between validation and write-set drain. A TTAS fallback after
+		// two aborts keeps pessimistic holders arriving during those
+		// windows. Recorded on the channel-handoff scheduler, before the
+		// coroutine scheduler replaced it.
+		name: "rtm-lazy-window",
+		want: 0xbd46bd0614988b37,
+		run: func(tt *testing.T) uint64 {
+			cfg := tsx.DefaultConfig(8)
+			cfg.Seed = 13
+			cfg.Subscription = tsx.SubLazy
+			m := tsx.NewMachine(cfg)
+			var lk locks.Lock
+			var counters mem.Addr
+			m.RunOne(func(t *tsx.Thread) {
+				lk = locks.NewTTAS(t)
+				counters = t.AllocLines(2)
+			})
+			threads := m.Run(8, func(t *tsx.Thread) {
+				lk.Prepare(t)
+				free := func() bool { return !lk.Held(t) }
+				for i := 0; i < 60; i++ {
+					slot := counters + mem.Addr(t.Rand().Intn(2))
+					cs := func() {
+						v := t.Load(slot)
+						t.Work(12)
+						t.Store(slot, v+1)
+					}
+					committed := false
+					for try := 0; try < 2 && !committed; try++ {
+						committed, _ = t.RTM(func() {
+							t.LazySubscribe(free)
+							cs()
+						})
+					}
+					if !committed {
+						lk.Acquire(t)
+						cs()
+						lk.Release(t)
+					}
+				}
+			})
+			h := newFpHash()
+			h.mixThreads(threads)
+			var subAborts uint64
+			for _, t := range threads {
+				subAborts += t.Stats.Aborted[tsx.CauseSubscription]
+			}
+			if subAborts == 0 {
+				tt.Errorf("rtm-lazy-window: no subscription aborts; the commit-time check never saw a holder")
+			}
+			var sum uint64
+			m.RunOne(func(t *tsx.Thread) {
+				for i := 0; i < 2; i++ {
+					v := t.Load(counters + mem.Addr(i))
+					sum += v
+					h.mix(v)
+				}
+			})
+			if sum != 480 {
+				tt.Errorf("rtm-lazy-window: lost updates: sum = %d, want 480", sum)
+			}
+			return uint64(h)
+		},
+	},
 }
 
 // TestGoldenMachineFingerprint asserts engine-level outcome fingerprints

@@ -15,6 +15,12 @@ go test -race -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal
 # its suite runs under the race detector too — and the adaptive controller
 # rides the profiler's windowed feed, so it gets the same treatment.
 go test -race -count=1 -timeout 300s ./internal/obs ./internal/adapt
+# The scheduler's coroutine dispatch loop hands the token between
+# goroutines by coroutine switch, which the race detector sees through
+# iter.Pull's release/acquire annotations; the quick chaos soaks add stop
+# orders that unwind procs mid-grant under armed watchdogs.
+go test -race -count=1 -timeout 300s ./internal/sim
+go test -race -short -count=1 -timeout 300s ./internal/chaos
 # Storm-recovery soak, quick tier: the adaptive controller demoted by an
 # injected abort storm must re-promote within its window bounds, without
 # flapping, and stay serializable across every hot swap.
